@@ -3,6 +3,7 @@
 //! * per-connection instrumentation overhead (the paper measured a
 //!   0.5 ms / 9.75 % worst-case per-request delay on-device);
 //! * the per-app offline analysis (the paper: < 5 s per app);
+//! * the 400-app corpus knowledge scan (`Knowledge::from_corpus`);
 //! * the hot substrate paths: frame encode/decode, SHA-256, dex
 //!   disassembly, builtin-filter regex matching, report codec.
 
@@ -429,8 +430,31 @@ fn bench_sampling_overhead(c: &mut Criterion) {
     group.finish();
 }
 
+/// The §III-D knowledge scan at `libspector run` defaults: 400 apps
+/// (corpus seed 42, method scale 0.02), both detectors over every app,
+/// plus the domain table. Scan-time records land in
+/// `BENCH_pipeline.json` under `knowledge_scan`.
+fn bench_knowledge_scan(c: &mut Criterion) {
+    use libspector::knowledge::Knowledge;
+    use spector_corpus::{Corpus, CorpusConfig};
+
+    let corpus = Corpus::generate(&CorpusConfig {
+        apps: 400,
+        seed: 42,
+        ..Default::default()
+    });
+    let mut group = c.benchmark_group("perf/knowledge_scan");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements(corpus.apps.len() as u64));
+    group.bench_function("from_corpus_400_apps", |b| {
+        b.iter(|| Knowledge::from_corpus(&corpus));
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
+    bench_knowledge_scan,
     bench_hook_overhead,
     bench_per_app_pipeline,
     bench_analysis_throughput,

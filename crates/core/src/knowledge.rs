@@ -18,9 +18,15 @@
 //!   shared by all dispatch workers ([`Knowledge::library_verdict`]).
 
 use std::collections::HashMap;
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::thread;
 
 use parking_lot::RwLock;
-use spector_libradar::{AggregatedLibraries, DetectTier, LibCategory, LibraryLists, PrefixAliases};
+use spector_corpus::domains::Domain;
+use spector_libradar::{
+    AggregatedLibraries, DetectTier, LibCategory, LibraryLists, PackageIndex, PrefixAliases,
+};
 use spector_vtcat::{DomainCategory, Tokenizer};
 
 use crate::attribution::BuiltinFilter;
@@ -122,31 +128,24 @@ impl Knowledge {
     /// canonical packages even when no app ships them verbatim), and
     /// every non-identity `in_app_prefix` becomes an alias the verdict
     /// cascade can resolve obfuscated origins through.
+    ///
+    /// Apps are scanned on one scoped worker per available core; the
+    /// result does not depend on the worker count.
     pub fn from_corpus(corpus: &spector_corpus::Corpus) -> Self {
-        let mut aggregated = AggregatedLibraries::new();
-        let mut exact_aliases = PrefixAliases::new();
-        let mut structural_aliases = PrefixAliases::new();
-        for app in &corpus.apps {
-            if let Ok(dex) = app.apk.dex() {
-                for detected in corpus.library_db.detect(&dex) {
-                    aggregated.record(&detected.name, detected.category);
-                    exact_aliases.insert(&detected.in_app_prefix, &detected.name);
-                }
-                for matched in corpus.structural_index.detect(&dex) {
-                    aggregated.record(&matched.name, matched.category);
-                    structural_aliases.insert(&matched.in_app_prefix, &matched.name);
-                }
-            }
-        }
-        let tokenizer = Tokenizer::new();
-        let domains = corpus.domains.domains();
-        let mut domain_categories = HashMap::with_capacity(domains.len());
-        for domain in domains {
-            domain_categories.insert(
-                domain.name.clone(),
-                tokenizer.classify(&domain.vendor_labels),
-            );
-        }
+        let workers = thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        Knowledge::scan(corpus, workers)
+    }
+
+    /// [`from_corpus`](Self::from_corpus) on `workers` threads.
+    ///
+    /// Each app's dex is parsed, indexed once for both detectors, and
+    /// dropped by the worker that claimed it, so at most `workers`
+    /// parsed apps are alive at a time. The per-app detections are then
+    /// merged serially in corpus order: aggregate categories and alias
+    /// last-writer-wins come out exactly as a serial scan leaves them.
+    fn scan(corpus: &spector_corpus::Corpus, workers: usize) -> Self {
+        let (aggregated, exact_aliases, structural_aliases) = scan_libraries(corpus, workers);
+        let domain_categories = classify_domains(corpus.domains.domains(), workers);
         let mut knowledge =
             Knowledge::with_domain_categories(aggregated, corpus.lists.clone(), domain_categories);
         knowledge.exact_aliases = exact_aliases;
@@ -273,6 +272,101 @@ impl Knowledge {
     }
 }
 
+/// The library half of the corpus scan: the aggregate plus the exact and
+/// structural alias tables.
+type LibraryScan = (AggregatedLibraries, PrefixAliases, PrefixAliases);
+
+/// Detects libraries in every app on `workers` threads and merges the
+/// detections in corpus order. Every detection records its canonical
+/// name into the aggregate and its in-app prefix as an alias of it.
+fn scan_libraries(corpus: &spector_corpus::Corpus, workers: usize) -> LibraryScan {
+    let detections = parallel_map(&corpus.apps, workers, |app| {
+        let Ok(dex) = app.apk.dex() else {
+            return (Vec::new(), Vec::new());
+        };
+        let index = PackageIndex::build(&dex);
+        drop(dex);
+        (
+            corpus.library_db.detect_in(&index),
+            corpus.structural_index.detect_in(&index),
+        )
+    });
+    let mut aggregated = AggregatedLibraries::new();
+    let mut exact_aliases = PrefixAliases::new();
+    let mut structural_aliases = PrefixAliases::new();
+    for (exact, structural) in detections {
+        for detected in exact {
+            aggregated.record(&detected.name, detected.category);
+            exact_aliases.insert(&detected.in_app_prefix, &detected.name);
+        }
+        for matched in structural {
+            aggregated.record(&matched.name, matched.category);
+            structural_aliases.insert(&matched.in_app_prefix, &matched.name);
+        }
+    }
+    (aggregated, exact_aliases, structural_aliases)
+}
+
+/// Classifies every domain from its vendor labels on `workers` threads.
+fn classify_domains(domains: &[Domain], workers: usize) -> HashMap<String, DomainCategory> {
+    let tokenizer = Tokenizer::new();
+    // Four chunks per worker, so one slow chunk does not idle the rest.
+    let chunks: Vec<&[Domain]> = domains
+        .chunks(domains.len().div_ceil(4 * workers.max(1)).max(1))
+        .collect();
+    let categories = parallel_map(&chunks, workers, |chunk| {
+        chunk
+            .iter()
+            .map(|domain| tokenizer.classify(&domain.vendor_labels))
+            .collect::<Vec<_>>()
+    });
+    let mut table = HashMap::with_capacity(domains.len());
+    for (domain, category) in domains.iter().zip(categories.into_iter().flatten()) {
+        table.insert(domain.name.clone(), category);
+    }
+    table
+}
+
+/// Maps `f` over `items` on up to `workers` scoped threads and returns
+/// the results in item order. Each worker claims the next unclaimed item,
+/// so uneven item costs balance across workers.
+fn parallel_map<T: Sync, R: Send>(
+    items: &[T],
+    workers: usize,
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    let workers = workers.clamp(1, items.len().max(1));
+    // The counter only hands out indices; results reach this thread
+    // through the joins, which synchronize on their own.
+    let next = AtomicUsize::new(0);
+    let mut slots: Vec<Option<R>> = items.iter().map(|_| None).collect();
+    thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let at = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(at) else { break };
+                        done.push((at, f(item)));
+                    }
+                    done
+                })
+            })
+            .collect();
+        for handle in handles {
+            let done = handle.join().expect("knowledge scan worker panicked");
+            for (at, result) in done {
+                slots[at] = Some(result);
+            }
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every item is claimed by exactly one worker"))
+        .collect()
+}
+
 // The corpus dependency is dev-facing: Knowledge::from_corpus is the
 // bridge used by experiments, examples, and benches.
 
@@ -368,6 +462,101 @@ mod tests {
             knowledge.domain_category("never.observed.example"),
             DomainCategory::Unknown
         );
+    }
+
+    /// The serial per-prefix library scan the indexed parallel one
+    /// replaces: every prefix of every app fingerprinted and profiled
+    /// from the raw dex.
+    fn oracle_library_scan(corpus: &Corpus) -> LibraryScan {
+        use spector_dex::subtree_profile;
+        use spector_libradar::detect::{fingerprint_subtree, package_prefixes};
+
+        let mut aggregated = AggregatedLibraries::new();
+        let mut exact_aliases = PrefixAliases::new();
+        let mut structural_aliases = PrefixAliases::new();
+        for app in &corpus.apps {
+            let Ok(dex) = app.apk.dex() else { continue };
+            let prefixes = package_prefixes(&dex);
+            for prefix in &prefixes {
+                let fp = fingerprint_subtree(&dex, prefix).expect("a prefix has members");
+                if let Some((name, category)) = corpus.library_db.lookup(&fp) {
+                    aggregated.record(name, category);
+                    exact_aliases.insert(prefix, name);
+                }
+            }
+            for prefix in &prefixes {
+                let profile = subtree_profile(&dex, prefix);
+                if let Some(matched) = corpus.structural_index.best_match(&profile) {
+                    aggregated.record(&matched.name, matched.category);
+                    structural_aliases.insert(prefix, &matched.name);
+                }
+            }
+        }
+        (aggregated, exact_aliases, structural_aliases)
+    }
+
+    fn scan_corpus(tier: spector_corpus::ObfuscationTier) -> Corpus {
+        let mut corpus = Corpus::generate(&CorpusConfig {
+            apps: 400,
+            seed: 42,
+            appgen: spector_corpus::AppGenConfig {
+                method_scale: 0.001,
+                ..Default::default()
+            },
+            ..Default::default()
+        });
+        spector_corpus::obfuscate_corpus(&mut corpus, tier, 7);
+        corpus
+    }
+
+    /// The indexed parallel scan equals the serial per-prefix oracle on
+    /// clean, renamed, mangled and junk-padded 400-app corpora, at one
+    /// worker and at more workers than cores. The domain table does not
+    /// depend on the tier, so the whole `Knowledge` is compared on the
+    /// clean corpus only. The tiers run concurrently to keep the
+    /// debug-build test short.
+    #[test]
+    fn indexed_parallel_scan_equals_the_serial_oracle() {
+        use spector_corpus::ObfuscationTier;
+
+        std::thread::scope(|scope| {
+            for tier in ObfuscationTier::ALL {
+                scope.spawn(move || {
+                    let corpus = scan_corpus(tier);
+                    let (aggregated, exact, structural) = oracle_library_scan(&corpus);
+                    assert!(!aggregated.is_empty());
+                    if tier != ObfuscationTier::None {
+                        assert!(!exact.is_empty() || !structural.is_empty());
+                    }
+                    for workers in [1, 3] {
+                        let scanned = scan_libraries(&corpus, workers);
+                        let context = format!("{} corpus, {workers} worker(s)", tier.label());
+                        assert_eq!(scanned.0, aggregated, "aggregate: {context}");
+                        assert_eq!(scanned.1, exact, "exact aliases: {context}");
+                        assert_eq!(scanned.2, structural, "structural aliases: {context}");
+                    }
+                    if tier == ObfuscationTier::None {
+                        let tokenizer = Tokenizer::new();
+                        let mut domain_categories = HashMap::new();
+                        for domain in corpus.domains.domains() {
+                            domain_categories.insert(
+                                domain.name.clone(),
+                                tokenizer.classify(&domain.vendor_labels),
+                            );
+                        }
+                        let scanned = Knowledge::scan(&corpus, 3);
+                        assert_eq!(scanned.aggregated, aggregated);
+                        assert_eq!(scanned.exact_aliases, exact);
+                        assert_eq!(scanned.structural_aliases, structural);
+                        assert_eq!(scanned.domain_categories, domain_categories);
+                        assert_eq!(
+                            classify_domains(corpus.domains.domains(), 1),
+                            domain_categories
+                        );
+                    }
+                });
+            }
+        });
     }
 
     #[test]

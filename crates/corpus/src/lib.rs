@@ -125,11 +125,12 @@ impl Corpus {
             ));
         }
 
+        let (library_db, structural_index) = libraries::build_detectors();
         Corpus {
             apps,
             domains,
-            library_db: libraries::build_library_db(),
-            structural_index: libraries::build_structural_index(),
+            library_db,
+            structural_index,
             lists: libraries::library_lists(),
         }
     }

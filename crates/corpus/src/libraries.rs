@@ -817,30 +817,13 @@ pub fn instantiate(
     }
 }
 
-/// Builds the LibRadar fingerprint database over the whole universe
-/// (using placeholder operands — operands do not affect fingerprints).
-pub fn build_library_db() -> LibraryDb {
+/// Builds both detection knowledge bases over the whole universe: the
+/// LibRadar fingerprint database and its obfuscation-resistant twin, the
+/// structural-profile index. Each template is instantiated once and
+/// registered in both, with placeholder operands — operands affect
+/// neither fingerprints nor profiles.
+pub fn build_detectors() -> (LibraryDb, StructuralIndex) {
     let mut db = LibraryDb::new();
-    let placeholder = LibraryOps {
-        bg0: placeholder_op(),
-        bg1: placeholder_op(),
-        refresh: placeholder_op(),
-    };
-    for template in LIBRARY_TEMPLATES {
-        let instance = instantiate(template, 0, &placeholder);
-        let dex = DexFile {
-            methods: instance.methods,
-            classes: vec![],
-        };
-        db.add_library(template.package, template.category, &dex);
-    }
-    db
-}
-
-/// Builds the structural-profile index over the whole universe — the
-/// obfuscation-resistant twin of [`build_library_db`]. Operands do not
-/// affect structural profiles either.
-pub fn build_structural_index() -> StructuralIndex {
     let mut index = StructuralIndex::new();
     let placeholder = LibraryOps {
         bg0: placeholder_op(),
@@ -853,9 +836,10 @@ pub fn build_structural_index() -> StructuralIndex {
             methods: instance.methods,
             classes: vec![],
         };
+        db.add_library(template.package, template.category, &dex);
         index.add_library(template.package, template.category, &dex);
     }
-    index
+    (db, index)
 }
 
 fn placeholder_op() -> NetworkOp {
@@ -975,7 +959,7 @@ mod tests {
 
     #[test]
     fn db_detects_every_template() {
-        let db = build_library_db();
+        let (db, _) = build_detectors();
         assert_eq!(db.len(), LIBRARY_TEMPLATES.len());
         // Each template, instantiated with arbitrary operands at a
         // nonzero base, is still detected.

@@ -442,7 +442,7 @@ mod tests {
 
     #[test]
     fn exact_fingerprint_survives_rename_but_not_mangle() {
-        let db = crate::libraries::build_library_db();
+        let (db, _) = crate::libraries::build_detectors();
         for (tier, survives) in [
             (ObfuscationTier::Rename, true),
             (ObfuscationTier::Mangle, false),

@@ -25,7 +25,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::model::{DexFile, Instruction, MethodRef};
+use crate::model::{DexFile, Instruction, MethodDef, MethodRef};
 
 /// A structural profile of one package subtree: a sorted multiset of
 /// hashed features.
@@ -147,6 +147,84 @@ fn log2_bucket(n: u64) -> u64 {
     }
 }
 
+/// Multiset cardinality of the profile of a `members`-method subtree:
+/// three per-method features (`sig`, `opc`, `deg`) plus the two
+/// subtree totals. It depends on the member count alone, so a caller can
+/// bound a profile's similarity before building it.
+pub fn profile_total(members: usize) -> u64 {
+    match members {
+        0 => 0,
+        n => 3 * n as u64 + 2,
+    }
+}
+
+/// The abstracted-signature feature: a method's package depth below the
+/// subtree root × its descriptor shape (see [`shape_of`]).
+pub fn signature_feature(depth: u64, shape: &str) -> u64 {
+    let mut h = FeatureHasher::new("sig");
+    h.num(depth);
+    h.bytes(shape.as_bytes());
+    h.finish()
+}
+
+/// The opcode-histogram feature of one method over the semantic
+/// instruction set; `shape` is [`shape_of`] its descriptor. Nop/Const
+/// are junk-injection targets and deliberately uncounted. Independent of
+/// the subtree root, so it can be computed once per method.
+pub fn opcode_feature(method: &MethodDef, shape: &str) -> u64 {
+    let (mut inv_int, mut inv_ext, mut asyncs, mut nets, mut rets) = (0u64, 0, 0, 0, 0);
+    for inst in &method.code.instructions {
+        match inst {
+            Instruction::Invoke(MethodRef::Internal(_)) => inv_int += 1,
+            Instruction::Invoke(MethodRef::External(_)) => inv_ext += 1,
+            Instruction::InvokeAsync { .. } => asyncs += 1,
+            Instruction::Network(_) => nets += 1,
+            Instruction::Return => rets += 1,
+            Instruction::Nop | Instruction::Const(_) => {}
+        }
+    }
+    let mut h = FeatureHasher::new("opc");
+    h.bytes(shape.as_bytes());
+    for v in [inv_int, inv_ext, asyncs, nets, rets] {
+        h.num(v);
+    }
+    h.finish()
+}
+
+/// The invoke-graph degree feature of one method: its out- and in-degree
+/// over the intra-subtree call graph, each capped at 3.
+pub fn degree_feature(out_degree: u64, in_degree: u64) -> u64 {
+    let mut h = FeatureHasher::new("deg");
+    h.num(out_degree.min(3));
+    h.num(in_degree.min(3));
+    h.finish()
+}
+
+/// The two subtree-level features of a non-empty subtree: cross-class
+/// edge count and method count, log2-bucketed.
+pub fn subtree_total_features(cross_class_edges: u64, members: usize) -> [u64; 2] {
+    let mut xce = FeatureHasher::new("xce");
+    xce.num(log2_bucket(cross_class_edges));
+    let mut cnt = FeatureHasher::new("cnt");
+    cnt.num(log2_bucket(members as u64));
+    [xce.finish(), cnt.finish()]
+}
+
+impl StructuralProfile {
+    /// Collapses a bag of feature hashes into the sorted multiset.
+    pub fn from_hashes(mut hashes: Vec<u64>) -> Self {
+        hashes.sort_unstable();
+        let mut features: Vec<(u64, u32)> = Vec::with_capacity(hashes.len());
+        for h in hashes {
+            match features.last_mut() {
+                Some((last, c)) if *last == h => *c += 1,
+                _ => features.push((h, 1)),
+            }
+        }
+        StructuralProfile { features }
+    }
+}
+
 /// Computes the structural profile of the package subtree rooted at
 /// `prefix`.
 ///
@@ -156,10 +234,14 @@ fn log2_bucket(n: u64) -> u64 {
 /// reordering (per-method features are order-free, graph features use
 /// method identity, and the final multiset is sorted), and `Nop`/`Const`
 /// junk injection (filler opcodes are excluded from histograms).
+///
+/// This walks every method of the dex; scanning every prefix of an app
+/// this way is quadratic. `spector_libradar::PackageIndex` builds the
+/// same profiles from one pass over the app.
 pub fn subtree_profile(dex: &DexFile, prefix: &str) -> StructuralProfile {
-    // Member set, with per-method package depth and class identity.
-    // Class identity is *positional*: methods of the same class share a
-    // dotted_class string; which string it is never reaches a hash.
+    // Member set. Class identity is *positional*: methods of the same
+    // class share a dotted_class string; which string it is never
+    // reaches a hash.
     let mut member = vec![false; dex.methods.len()];
     let mut hashes: Vec<u64> = Vec::new();
     let mut members: Vec<u32> = Vec::new();
@@ -172,31 +254,12 @@ pub fn subtree_profile(dex: &DexFile, prefix: &str) -> StructuralProfile {
 
     for &i in &members {
         let m = &dex.methods[i as usize];
-        // Abstracted signature: relative depth × descriptor shape.
-        let mut h = FeatureHasher::new("sig");
-        h.num(depth_below(&m.sig.package(), prefix));
-        h.bytes(shape_of(m.sig.descriptor()).as_bytes());
-        hashes.push(h.finish());
-
-        // Opcode histogram over the semantic instruction set. Nop/Const
-        // are junk-injection targets and deliberately uncounted.
-        let (mut inv_int, mut inv_ext, mut asyncs, mut nets, mut rets) = (0u64, 0, 0, 0, 0);
-        for inst in &m.code.instructions {
-            match inst {
-                Instruction::Invoke(MethodRef::Internal(_)) => inv_int += 1,
-                Instruction::Invoke(MethodRef::External(_)) => inv_ext += 1,
-                Instruction::InvokeAsync { .. } => asyncs += 1,
-                Instruction::Network(_) => nets += 1,
-                Instruction::Return => rets += 1,
-                Instruction::Nop | Instruction::Const(_) => {}
-            }
-        }
-        let mut h = FeatureHasher::new("opc");
-        h.bytes(shape_of(m.sig.descriptor()).as_bytes());
-        for v in [inv_int, inv_ext, asyncs, nets, rets] {
-            h.num(v);
-        }
-        hashes.push(h.finish());
+        let shape = shape_of(m.sig.descriptor());
+        hashes.push(signature_feature(
+            depth_below(&m.sig.package(), prefix),
+            &shape,
+        ));
+        hashes.push(opcode_feature(m, &shape));
     }
 
     // Intra-subtree invoke graph: distinct (caller, callee) edges where
@@ -225,38 +288,19 @@ pub fn subtree_profile(dex: &DexFile, prefix: &str) -> StructuralProfile {
         }
     }
     for &i in &members {
-        let mut h = FeatureHasher::new("deg");
-        h.num(out_deg[i as usize].min(3));
-        h.num(in_deg[i as usize].min(3));
-        hashes.push(h.finish());
+        hashes.push(degree_feature(out_deg[i as usize], in_deg[i as usize]));
     }
 
-    // Subtree-level totals, log2-bucketed.
     if !members.is_empty() {
-        let mut h = FeatureHasher::new("xce");
-        h.num(log2_bucket(cross_class_edges));
-        hashes.push(h.finish());
-        let mut h = FeatureHasher::new("cnt");
-        h.num(log2_bucket(members.len() as u64));
-        hashes.push(h.finish());
+        hashes.extend(subtree_total_features(cross_class_edges, members.len()));
     }
-
-    // Collapse into the sorted multiset.
-    hashes.sort_unstable();
-    let mut features: Vec<(u64, u32)> = Vec::with_capacity(hashes.len());
-    for h in hashes {
-        match features.last_mut() {
-            Some((last, c)) if *last == h => *c += 1,
-            _ => features.push((h, 1)),
-        }
-    }
-    StructuralProfile { features }
+    StructuralProfile::from_hashes(hashes)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{ClassDef, CodeItem, MethodDef};
+    use crate::model::{ClassDef, CodeItem};
     use crate::sig::MethodSig;
 
     fn lib_dex(root: &str, class_a: &str, class_b: &str, m0: &str, m1: &str) -> DexFile {
@@ -375,6 +419,22 @@ mod tests {
             // 2 methods x (sig + opc + deg) + xce + cnt
             2 * 3 + 2
         });
+    }
+
+    #[test]
+    fn profile_total_counts_every_pushed_feature() {
+        let dex = lib_dex("com.lib", "A", "B", "m", "n");
+        for prefix in ["com", "com.lib", "com.lib.net", "org"] {
+            let members = dex
+                .methods
+                .iter()
+                .filter(|m| in_subtree(&m.sig.package(), prefix))
+                .count();
+            assert_eq!(
+                subtree_profile(&dex, prefix).total(),
+                profile_total(members)
+            );
+        }
     }
 
     #[test]

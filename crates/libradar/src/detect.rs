@@ -12,10 +12,11 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use spector_dex::model::{DexFile, Instruction, MethodRef};
+use spector_dex::model::{DexFile, Instruction, MethodDef, MethodRef};
 use spector_dex::sha256::{Digest, Sha256};
 
 use crate::category::LibCategory;
+use crate::index::PackageIndex;
 
 /// A structural fingerprint of a package subtree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -37,6 +38,10 @@ pub struct DetectedLibrary {
 #[derive(Debug, Clone, Default)]
 pub struct LibraryDb {
     by_fingerprint: HashMap<LibraryFingerprint, (String, LibCategory)>,
+    /// Byte length of every registered library's fingerprint stream. A
+    /// subtree whose stream has another length cannot hash to a
+    /// registered fingerprint, so it is never hashed.
+    stream_lens: BTreeSet<usize>,
 }
 
 impl LibraryDb {
@@ -49,9 +54,14 @@ impl LibraryDb {
     /// prefix, `dex` contains (at least) the library's methods under
     /// that prefix.
     pub fn add_library(&mut self, name: &str, category: LibCategory, dex: &DexFile) {
-        if let Some(fp) = fingerprint_subtree(dex, name) {
-            self.by_fingerprint.insert(fp, (name.to_owned(), category));
+        let mut features = subtree_features(dex, name);
+        if features.is_empty() {
+            return;
         }
+        self.stream_lens
+            .insert(features.iter().map(|f| f.len() + 1).sum());
+        let fp = hash_features(&mut features);
+        self.by_fingerprint.insert(fp, (name.to_owned(), category));
     }
 
     /// Number of registered fingerprints.
@@ -76,22 +86,27 @@ impl LibraryDb {
     /// Every package prefix present in the app is fingerprinted and
     /// matched; when nested prefixes both match (a library plus one of
     /// its sub-packages registered separately), both are reported, which
-    /// mirrors LibRadar's output granularity in Listing 2.
+    /// mirrors LibRadar's output granularity in Listing 2. Results are
+    /// sorted by in-app prefix.
     pub fn detect(&self, dex: &DexFile) -> Vec<DetectedLibrary> {
-        let mut detected = Vec::new();
-        for prefix in package_prefixes(dex) {
-            if let Some(fp) = fingerprint_subtree(dex, &prefix) {
-                if let Some((name, category)) = self.lookup(&fp) {
-                    detected.push(DetectedLibrary {
-                        name: name.to_owned(),
-                        in_app_prefix: prefix.clone(),
-                        category,
-                    });
-                }
-            }
-        }
-        detected.sort_by(|a, b| a.in_app_prefix.cmp(&b.in_app_prefix));
-        detected
+        self.detect_in(&PackageIndex::build(dex))
+    }
+
+    /// [`detect`](Self::detect) over an already-built index of the app.
+    pub fn detect_in(&self, index: &PackageIndex) -> Vec<DetectedLibrary> {
+        index
+            .prefixes()
+            .iter()
+            .filter(|prefix| self.stream_lens.contains(&prefix.stream_len))
+            .filter_map(|prefix| {
+                let (name, category) = self.lookup(&index.fingerprint(prefix))?;
+                Some(DetectedLibrary {
+                    name: name.to_owned(),
+                    in_app_prefix: prefix.name.clone(),
+                    category,
+                })
+            })
+            .collect()
     }
 }
 
@@ -114,7 +129,19 @@ pub fn package_prefixes(dex: &DexFile) -> BTreeSet<String> {
 
 /// Fingerprints the subtree of methods whose package equals `prefix` or
 /// lies beneath it. Returns `None` when no methods are in the subtree.
+///
+/// This walks every method of the dex; [`LibraryDb::detect`] fingerprints
+/// all prefixes of an app from one [`PackageIndex`] pass instead.
 pub fn fingerprint_subtree(dex: &DexFile, prefix: &str) -> Option<LibraryFingerprint> {
+    let mut features = subtree_features(dex, prefix);
+    if features.is_empty() {
+        return None;
+    }
+    Some(hash_features(&mut features))
+}
+
+/// The unsorted feature strings of `prefix`'s subtree.
+fn subtree_features(dex: &DexFile, prefix: &str) -> Vec<String> {
     let mut features: Vec<String> = Vec::new();
     for method in &dex.methods {
         let pkg = method.sig.package();
@@ -127,37 +154,45 @@ pub fn fingerprint_subtree(dex: &DexFile, prefix: &str) -> Option<LibraryFingerp
         // the prefix* plus class/method/descriptor, plus an opcode
         // string. Renaming the root package leaves all of this intact.
         let relative = &pkg[prefix.len().min(pkg.len())..];
-        let opcodes: String = method
-            .code
-            .instructions
-            .iter()
-            .map(|inst| match inst {
-                Instruction::Nop => 'n',
-                Instruction::Const(_) => 'c',
-                Instruction::Invoke(MethodRef::Internal(_)) => 'i',
-                Instruction::Invoke(MethodRef::External(_)) => 'e',
-                Instruction::InvokeAsync { .. } => 'a',
-                Instruction::Network(_) => 'w',
-                Instruction::Return => 'r',
-            })
-            .collect();
-        features.push(format!(
-            "{relative}|{}|{}|{}|{opcodes}",
-            method.sig.class_name(),
-            method.sig.method_name(),
-            method.sig.descriptor(),
-        ));
+        features.push(format!("{relative}{}", exact_tail(method)));
     }
-    if features.is_empty() {
-        return None;
-    }
+    features
+}
+
+/// The prefix-independent part of a method's exact feature:
+/// `|class|method|descriptor|opcodes`.
+pub(crate) fn exact_tail(method: &MethodDef) -> String {
+    let opcodes: String = method
+        .code
+        .instructions
+        .iter()
+        .map(|inst| match inst {
+            Instruction::Nop => 'n',
+            Instruction::Const(_) => 'c',
+            Instruction::Invoke(MethodRef::Internal(_)) => 'i',
+            Instruction::Invoke(MethodRef::External(_)) => 'e',
+            Instruction::InvokeAsync { .. } => 'a',
+            Instruction::Network(_) => 'w',
+            Instruction::Return => 'r',
+        })
+        .collect();
+    format!(
+        "|{}|{}|{}|{opcodes}",
+        method.sig.class_name(),
+        method.sig.method_name(),
+        method.sig.descriptor(),
+    )
+}
+
+/// SHA-256 over the sorted, `\n`-terminated feature strings.
+pub(crate) fn hash_features(features: &mut [String]) -> LibraryFingerprint {
     features.sort_unstable();
     let mut hasher = Sha256::new();
-    for feature in &features {
+    for feature in features.iter() {
         hasher.update(feature.as_bytes());
         hasher.update(b"\n");
     }
-    Some(LibraryFingerprint(hasher.finalize()))
+    LibraryFingerprint(hasher.finalize())
 }
 
 #[cfg(test)]

@@ -31,6 +31,7 @@
 
 pub mod category;
 pub mod detect;
+pub mod index;
 pub mod lists;
 pub mod predict;
 pub mod structural;
@@ -38,6 +39,7 @@ pub mod trie;
 
 pub use category::LibCategory;
 pub use detect::{DetectedLibrary, LibraryDb, LibraryFingerprint};
+pub use index::PackageIndex;
 pub use lists::LibraryLists;
 pub use predict::AggregatedLibraries;
 pub use structural::{

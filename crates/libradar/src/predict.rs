@@ -30,6 +30,14 @@ pub struct AggregatedLibraries {
     trie: OnceLock<LibTrie>,
 }
 
+/// Equal when the recorded libraries and categories are; the prefix
+/// index is a cache of them.
+impl PartialEq for AggregatedLibraries {
+    fn eq(&self, other: &Self) -> bool {
+        self.libs == other.libs
+    }
+}
+
 impl AggregatedLibraries {
     /// Creates an empty aggregate.
     pub fn new() -> Self {

@@ -23,7 +23,7 @@ use spector_dex::features::{subtree_profile, StructuralProfile};
 use spector_dex::model::DexFile;
 
 use crate::category::LibCategory;
-use crate::detect::package_prefixes;
+use crate::index::PackageIndex;
 
 /// Which cascade tier attributed a library lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -89,6 +89,8 @@ pub struct StructuralMatch {
 pub struct StructuralIndex {
     libs: Vec<(String, LibCategory, u64)>,
     buckets: HashMap<u64, Vec<(u32, u32)>>,
+    /// Distinct profile totals of `libs`, sorted.
+    totals: Vec<u64>,
 }
 
 impl StructuralIndex {
@@ -108,7 +110,11 @@ impl StructuralIndex {
             return;
         }
         let id = self.libs.len() as u32;
-        self.libs.push((name.to_owned(), category, profile.total()));
+        let total = profile.total();
+        if let Err(at) = self.totals.binary_search(&total) {
+            self.totals.insert(at, total);
+        }
+        self.libs.push((name.to_owned(), category, total));
         for &(hash, count) in &profile.features {
             self.buckets.entry(hash).or_default().push((id, count));
         }
@@ -132,7 +138,7 @@ impl StructuralIndex {
     /// libraries with overlap are touched.
     pub fn best_match(&self, profile: &StructuralProfile) -> Option<StructuralMatch> {
         let q_total = profile.total();
-        if q_total < MIN_MATCH_FEATURES {
+        if !self.may_match(q_total) {
             return None;
         }
         let mut min_sum: HashMap<u32, u64> = HashMap::new();
@@ -170,6 +176,28 @@ impl StructuralIndex {
         })
     }
 
+    /// Whether a profile of cardinality `q_total` can reach
+    /// [`MATCH_THRESHOLD`] against any indexed library.
+    ///
+    /// The multiset overlap is at most `min(q, l)`, so the union is at
+    /// least `max(q, l)` and the Jaccard score at most `min / max`.
+    /// Correctly rounded division is monotone, so the ceiling computed
+    /// with the score's own f64 arithmetic bounds every score exactly.
+    /// `min / max` peaks at the nearest total on either side of `q`,
+    /// so only those two are checked.
+    fn may_match(&self, q_total: u64) -> bool {
+        if q_total < MIN_MATCH_FEATURES {
+            return false;
+        }
+        let at = self.totals.partition_point(|&l| l < q_total);
+        let below = at.checked_sub(1).map(|i| self.totals[i]);
+        let above = self.totals.get(at).copied();
+        below.into_iter().chain(above).any(|l| {
+            let ceiling = q_total.min(l) as f64 / q_total.max(l) as f64;
+            ceiling >= MATCH_THRESHOLD
+        })
+    }
+
     /// Detects indexed libraries in `dex`: every package prefix is
     /// profiled and scored; prefixes whose best match clears the
     /// threshold are reported, sorted by in-app prefix.
@@ -179,16 +207,21 @@ impl StructuralIndex {
     /// union, child prefixes lose the root's features — both fall below
     /// the threshold by construction.
     pub fn detect(&self, dex: &DexFile) -> Vec<StructuralMatch> {
-        let mut matches = Vec::new();
-        for prefix in package_prefixes(dex) {
-            let profile = subtree_profile(dex, &prefix);
-            if let Some(mut m) = self.best_match(&profile) {
-                m.in_app_prefix = prefix;
-                matches.push(m);
-            }
-        }
-        matches.sort_by(|a, b| a.in_app_prefix.cmp(&b.in_app_prefix));
-        matches
+        self.detect_in(&PackageIndex::build(dex))
+    }
+
+    /// [`detect`](Self::detect) over an already-built index of the app.
+    /// A prefix whose profile size rules out every match is never
+    /// profiled.
+    pub fn detect_in(&self, index: &PackageIndex) -> Vec<StructuralMatch> {
+        index
+            .profiles(|total| self.may_match(total))
+            .filter_map(|(prefix, profile)| {
+                let mut m = self.best_match(&profile)?;
+                m.in_app_prefix = prefix.name.clone();
+                Some(m)
+            })
+            .collect()
     }
 }
 
@@ -196,7 +229,7 @@ impl StructuralIndex {
 /// corpus-wide detection. `resolve` bridges an obfuscated origin package
 /// back to canonical space so the existing verdict machinery (trie,
 /// lists) can run on it.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PrefixAliases {
     map: BTreeMap<String, String>,
 }
@@ -404,6 +437,18 @@ mod tests {
         let profile = subtree_profile(&dex, "a.b");
         assert!(profile.total() < MIN_MATCH_FEATURES);
         assert!(idx.best_match(&profile).is_none());
+    }
+
+    #[test]
+    fn size_bound_admits_exactly_the_reachable_totals() {
+        let idx = index();
+        for q_total in 0..200 {
+            let reachable = q_total >= MIN_MATCH_FEATURES
+                && idx.libs.iter().any(|&(_, _, l)| {
+                    q_total.min(l) as f64 / q_total.max(l) as f64 >= MATCH_THRESHOLD
+                });
+            assert_eq!(idx.may_match(q_total), reachable, "q_total {q_total}");
+        }
     }
 
     #[test]

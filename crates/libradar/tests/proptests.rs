@@ -2,9 +2,15 @@
 //! heuristics.
 
 use proptest::prelude::*;
-use spector_dex::model::{CodeItem, DexFile, Instruction, MethodDef};
+use proptest::TestCaseError;
+use spector_dex::model::{CodeItem, DexFile, Dispatcher, Instruction, MethodDef, MethodRef};
 use spector_dex::sig::MethodSig;
-use spector_libradar::{detect, AggregatedLibraries, LibCategory, LibraryDb, LibraryLists};
+use spector_dex::subtree_profile;
+use spector_libradar::detect::{fingerprint_subtree, package_prefixes};
+use spector_libradar::{
+    detect, AggregatedLibraries, DetectedLibrary, LibCategory, LibraryDb, LibraryLists,
+    PackageIndex, StructuralIndex, StructuralMatch,
+};
 
 fn ident() -> impl Strategy<Value = String> {
     "[a-z][a-z0-9]{0,5}"
@@ -258,5 +264,171 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+// The indexed detectors against a per-prefix oracle: every package
+// prefix fingerprinted and profiled from the raw dex, one at a time.
+
+fn oracle_exact(db: &LibraryDb, dex: &DexFile) -> Vec<DetectedLibrary> {
+    package_prefixes(dex)
+        .into_iter()
+        .filter_map(|prefix| {
+            let fp = fingerprint_subtree(dex, &prefix)?;
+            let (name, category) = db.lookup(&fp)?;
+            Some(DetectedLibrary {
+                name: name.to_owned(),
+                in_app_prefix: prefix,
+                category,
+            })
+        })
+        .collect()
+}
+
+fn oracle_structural(index: &StructuralIndex, dex: &DexFile) -> Vec<StructuralMatch> {
+    package_prefixes(dex)
+        .into_iter()
+        .filter_map(|prefix| {
+            let mut matched = index.best_match(&subtree_profile(dex, &prefix))?;
+            matched.in_app_prefix = prefix;
+            Some(matched)
+        })
+        .collect()
+}
+
+fn assert_indexed_equals_oracle(
+    db: &LibraryDb,
+    index: &StructuralIndex,
+    dex: &DexFile,
+) -> Result<(), TestCaseError> {
+    let exact = db.detect(dex);
+    let structural = index.detect(dex);
+    prop_assert_eq!(&exact, &oracle_exact(db, dex));
+    prop_assert_eq!(&structural, &oracle_structural(index, dex));
+    let shared = PackageIndex::build(dex);
+    prop_assert_eq!(db.detect_in(&shared), exact);
+    prop_assert_eq!(index.detect_in(&shared), structural);
+    Ok(())
+}
+
+/// Packages that trap a string-range subtree test: siblings that share
+/// `com.foo` as a string prefix (`-` and `$` sort below `.`), the
+/// default package, and a leading-dot package whose first level is the
+/// empty prefix.
+const TRAP_PACKAGES: [&str; 9] = [
+    "",
+    ".lead",
+    "com",
+    "com.foo",
+    "com.foo.net",
+    "com.foobar",
+    "com.foo-x",
+    "com.foo$x",
+    "com.foo$x.deep",
+];
+
+/// A random method: a trap or generated package, a small class/name
+/// pool, and a body whose internal invoke targets may lie past the end
+/// of the method table.
+fn method(targets: u32) -> impl Strategy<Value = MethodDef> {
+    let package = prop_oneof![
+        prop::sample::select(TRAP_PACKAGES.to_vec()).prop_map(str::to_owned),
+        package(),
+    ];
+    let instruction = prop_oneof![
+        Just(Instruction::Nop),
+        (0u32..4).prop_map(Instruction::Const),
+        (0..targets).prop_map(|t| Instruction::Invoke(MethodRef::Internal(t))),
+        (0..targets).prop_map(|t| Instruction::InvokeAsync {
+            dispatcher: Dispatcher::Thread,
+            target: MethodRef::Internal(t),
+        }),
+        Just(Instruction::Invoke(MethodRef::External(MethodSig::new(
+            "android.util",
+            "Log",
+            "d",
+            "()V"
+        )))),
+    ];
+    (
+        package,
+        0u8..3,
+        0u8..3,
+        prop::sample::select(vec!["()V", "(I)V", "(Ljava/lang/String;)Z", "([B)V"]),
+        proptest::collection::vec(instruction, 0..4),
+    )
+        .prop_map(|(package, class, name, descriptor, mut instructions)| {
+            instructions.push(Instruction::Return);
+            MethodDef {
+                sig: MethodSig::new(
+                    &package,
+                    &format!("C{class}"),
+                    &format!("m{name}"),
+                    descriptor,
+                ),
+                code: CodeItem { instructions },
+            }
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random dexes over the trap packages, with registered libraries
+    /// copied in under sibling-trap names so that both tiers match.
+    #[test]
+    fn indexed_detection_equals_the_per_prefix_oracle(
+        methods in proptest::collection::vec(method(48), 0..40),
+        salts in (any::<u8>(), any::<u8>()),
+        copy_roots in (
+            prop::sample::select(TRAP_PACKAGES[3..].to_vec()),
+            prop::sample::select(TRAP_PACKAGES[3..].to_vec()),
+        ),
+    ) {
+        let mut db = LibraryDb::new();
+        let mut index = StructuralIndex::new();
+        for (root, salt, category) in [
+            ("io.lib.one", salts.0, LibCategory::Advertisement),
+            ("io.lib.two", salts.1, LibCategory::MobileAnalytics),
+        ] {
+            let lib = library_dex(root, salt);
+            db.add_library(root, category, &lib);
+            index.add_library(root, category, &lib);
+        }
+        let mut dex = DexFile { methods, classes: vec![] };
+        dex.methods.extend(library_dex(copy_roots.0, salts.0).methods);
+        dex.methods.extend(library_dex(copy_roots.1, salts.1).methods);
+        assert_indexed_equals_oracle(&db, &index, &dex)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Generated apps under every obfuscation tier (renamed, mangled and
+    /// junk-padded template copies), with trap packages and
+    /// out-of-range internal targets added, against the corpus'
+    /// real knowledge bases.
+    #[test]
+    fn indexed_detection_equals_the_oracle_on_obfuscated_apps(
+        seed in 0u64..1_000,
+        obf_seed in 0u64..1_000,
+        tier in prop::sample::select(spector_corpus::ObfuscationTier::ALL.to_vec()),
+        extra in proptest::collection::vec(method(4_000), 0..24),
+    ) {
+        use spector_corpus::obfuscate::{library_roots, obfuscate_dex};
+        use spector_corpus::{AppGenConfig, Corpus, CorpusConfig};
+
+        let corpus = Corpus::generate(&CorpusConfig {
+            apps: 1,
+            seed,
+            appgen: AppGenConfig { method_scale: 0.004, ..Default::default() },
+            ..Default::default()
+        });
+        let mut dex = corpus.apps[0].apk.dex().unwrap();
+        let roots = library_roots(&dex);
+        obfuscate_dex(&mut dex, &roots, tier, obf_seed);
+        dex.methods.extend(extra);
+        assert_indexed_equals_oracle(&corpus.library_db, &corpus.structural_index, &dex)?;
     }
 }
